@@ -73,7 +73,7 @@ bench-scale: ## million-scale pipeline: generate -> stream-convert -> mmap -> sk
 
 SHARD_S ?= 1,4,16,64
 BENCH5  ?= BENCH_5.json
-bench-shard: ## sharded-engine sweep vs the parallel filter-phase bar on a 2M mmap snapshot (SHARD_S, SCALE_N, BENCH5 knobs)
+bench-shard: ## sharded-engine sweep vs the serial engine on a 2M mmap snapshot (SHARD_S, SCALE_N, BENCH5 knobs)
 	$(GO) run ./cmd/nsbench -shardbench -scale-n $(SCALE_N) -shards $(SHARD_S) -json $(BENCH5)
 
 TREE_N  ?= 100000

@@ -1,9 +1,10 @@
-// Benchmarks for the extension layer: parallel refine, approximate
+// Benchmarks for the extension layer: the sharded engine, approximate
 // skyline, dynamic maintenance, group betweenness and the MIS
 // reduction.
 package neisky_test
 
 import (
+	"fmt"
 	"testing"
 
 	"neisky"
@@ -14,8 +15,8 @@ import (
 	"neisky/internal/rng"
 )
 
-// BenchmarkParallelSkyline compares the sequential refine phase with
-// 2/4/8-way sharding.
+// BenchmarkParallelSkyline compares the serial engine with the sharded
+// engine on 2/4/8 workers.
 func BenchmarkParallelSkyline(b *testing.B) {
 	g := benchGraph(b, "livejournal-sim", 1)
 	b.Run("seq", func(b *testing.B) {
@@ -24,16 +25,12 @@ func BenchmarkParallelSkyline(b *testing.B) {
 		}
 	})
 	for _, w := range []int{2, 4, 8} {
-		b.Run(workersName(w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("sharded-w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ParallelFilterRefineSky(g, core.Options{}, w)
+				core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: w})
 			}
 		})
 	}
-}
-
-func workersName(w int) string {
-	return map[int]string{2: "par2", 4: "par4", 8: "par8"}[w]
 }
 
 // BenchmarkApproxSkyline measures the ε-skyline counting scan at

@@ -78,7 +78,7 @@ func BenchmarkFig3RuntimeLarge(b *testing.B) {
 		}{
 			{"FilterRefineSky", func() { core.FilterRefineSky(g, core.Options{}) }},
 			{"FilterRefineSky-nohub", func() { core.FilterRefineSky(g, core.Options{DisableHubIndex: true}) }},
-			{"Parallel-8", func() { core.ParallelFilterRefineSky(g, core.Options{}, 8) }},
+			{"Sharded-w8", func() { core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: 8}) }},
 		}
 		for _, v := range variants {
 			b.Run(name+"/"+v.name, func(b *testing.B) {

@@ -108,8 +108,7 @@ func main() {
 				os.Exit(1)
 			}
 			hcfg := bench.ShardConfig{N: *scaleN, M: *scaleM, Seed: *seed,
-				Workers: *workers, ShardWorkers: *shardWorkers,
-				ShardCounts: counts, Dir: *dir, Out: os.Stderr}
+				ShardWorkers: *shardWorkers, ShardCounts: counts, Dir: *dir, Out: os.Stderr}
 			if *quick {
 				hcfg.Rounds = 1
 			}

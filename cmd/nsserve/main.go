@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -154,7 +153,7 @@ func main() {
 	}
 	fmt.Printf("nsserve: serving %s (n=%d m=%d) on http://%s\n", snap.Name, g.N(), g.M(), bound)
 
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := srv.HTTPServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hsrv.Serve(ln) }()
 

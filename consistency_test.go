@@ -24,7 +24,7 @@ func TestDatasetConsistency(t *testing.T) {
 			"BaseCSet": core.BaseCSet(g, core.Options{}).Skyline,
 			"LC-Join":  scjoin.Skyline(g, core.Options{}).Skyline,
 			"TT-Join":  scjoin.TrieSkyline(g, core.Options{}).Skyline,
-			"Parallel": core.ParallelFilterRefineSky(g, core.Options{}, 4).Skyline,
+			"Sharded":  core.ShardedFilterRefineSky(g, core.Options{NoParallelCutoff: true}, core.ShardOptions{Workers: 4}).Skyline,
 			"Approx0":  core.ApproxSkyline(g, 0, core.Options{}).Skyline,
 			"PartialOrder": core.AllDominations(g, core.Options{}).
 				Skyline(),

@@ -73,14 +73,9 @@ func ComputeSkylineCtx(ctx context.Context, g *Graph, algo Algorithm, opts Optio
 	}
 }
 
-// SkylineParallelCtx is SkylineParallel under a context. Cancellation
-// (and any worker panic, surfaced as Result.Err) stops all workers.
-func SkylineParallelCtx(ctx context.Context, g *Graph, opts Options, workers int) *Result {
-	return core.ParallelFilterRefineSkyCtx(ctx, g, opts, workers)
-}
-
 // SkylineShardedCtx is SkylineSharded under a context, with the same
-// anytime superset contract on cancellation as SkylineCtx.
+// anytime superset contract on cancellation as SkylineCtx. Cancellation
+// (and any worker panic, surfaced as Result.Err) stops all workers.
 func SkylineShardedCtx(ctx context.Context, g *Graph, opts Options, so ShardOptions) *Result {
 	return core.ShardedFilterRefineSkyCtx(ctx, g, opts, so)
 }

@@ -48,9 +48,9 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatalf("%v disagrees: %d vs %d", algo, len(got), len(want))
 		}
 	}
-	par := neisky.SkylineParallel(g, neisky.Options{}, 4)
+	par := neisky.SkylineSharded(g, neisky.Options{}, neisky.ShardOptions{Workers: 4})
 	if len(par.Skyline) != len(want) {
-		t.Fatal("parallel skyline disagrees")
+		t.Fatal("sharded skyline disagrees")
 	}
 
 	// 3. Partial order and twins are consistent with the skyline.

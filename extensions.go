@@ -12,18 +12,11 @@ import (
 )
 
 // This file exposes the extensions built on top of the paper's core:
-// parallel skyline computation, the approximate skyline the paper's
+// sharded parallel skyline computation, the approximate skyline the paper's
 // closing remark calls for, dynamic maintenance under edge updates,
 // group betweenness maximization (the application §IV-D defers to
 // future work), and the maximum-independent-set reduction from the
 // paper's introduction.
-
-// SkylineParallel computes the skyline with both the filter and refine
-// phases sharded across the given number of worker goroutines. Results
-// are identical to Skyline.
-func SkylineParallel(g *Graph, opts Options, workers int) *Result {
-	return core.ParallelFilterRefineSky(g, opts, workers)
-}
 
 // ShardOptions tune SkylineSharded: shard count, worker-pool size, the
 // register-sketch ablation switch, and the per-shard paging-hint
@@ -33,7 +26,8 @@ type ShardOptions = core.ShardOptions
 // SkylineSharded computes the skyline with the fused sharded engine:
 // contiguous work-balanced vertex shards, a refine-first single pass
 // per shard, and per-vertex cardinality sketches as a no-false-negative
-// dominance pre-filter. Results are identical to Skyline.
+// dominance pre-filter. Results are identical to Skyline. This is the
+// parallel entry point: ShardOptions{Workers: w} runs it on w workers.
 func SkylineSharded(g *Graph, opts Options, so ShardOptions) *Result {
 	return core.ShardedFilterRefineSky(g, opts, so)
 }

@@ -1,17 +1,25 @@
 package neisky_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"neisky"
 )
 
-func TestSkylineParallelFacade(t *testing.T) {
+func TestSkylineShardedFacade(t *testing.T) {
 	g := neisky.GeneratePowerLaw(800, 2400, 2.2, 5)
 	seq := neisky.Skyline(g)
-	par := neisky.SkylineParallel(g, neisky.Options{}, 4)
-	if len(seq) != len(par.Skyline) {
-		t.Fatalf("parallel %d != sequential %d", len(par.Skyline), len(seq))
+	opts := neisky.Options{NoParallelCutoff: true} // reach the worker pool on a small graph
+	so := neisky.ShardOptions{Workers: 4}
+	for _, par := range []*neisky.Result{
+		neisky.SkylineSharded(g, opts, so),
+		neisky.SkylineShardedCtx(context.Background(), g, opts, so),
+	} {
+		if !slices.Equal(par.Skyline, seq) {
+			t.Fatalf("sharded %d != sequential %d", len(par.Skyline), len(seq))
+		}
 	}
 }
 

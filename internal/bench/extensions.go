@@ -12,9 +12,9 @@ import (
 )
 
 // RunExtensions exercises the features built beyond the paper: the
-// parallel refine phase, the ε-approximate skyline, dynamic
-// maintenance, group betweenness with skyline pruning, and the
-// independent-set reduction.
+// ε-approximate skyline, dynamic maintenance, group betweenness with
+// skyline pruning, and the independent-set reduction. The sharded
+// engine's worker sweep lives in RunAblation.
 func RunExtensions(cfg Config) {
 	cfg.fill()
 	g, err := dataset.Load("livejournal-sim", cfg.Scale)
@@ -22,15 +22,6 @@ func RunExtensions(cfg Config) {
 		panic(err)
 	}
 	cfg.printf("== Extensions (beyond the paper) on livejournal-sim (%s) ==\n", g.Stats())
-
-	cfg.printf("-- parallel FilterRefineSky --\n")
-	seqT := timed(func() { core.FilterRefineSky(g, core.Options{}) })
-	cfg.printf("%8s %12s\n", "workers", "time")
-	cfg.printf("%8d %12s\n", 1, seqT.Round(time.Microsecond))
-	for _, w := range []int{2, 4, 8} {
-		t := timed(func() { core.ParallelFilterRefineSky(g, core.Options{}, w) })
-		cfg.printf("%8d %12s\n", w, t.Round(time.Microsecond))
-	}
 
 	cfg.printf("-- ε-approximate skyline --\n%8s %10s %12s\n", "ε", "|R_ε|", "time")
 	for _, eps := range []float64{0, 0.1, 0.2, 0.4} {

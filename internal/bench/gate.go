@@ -13,8 +13,9 @@ import (
 )
 
 // The gatebench workload: a small-n, deterministic row per engine
-// family (serial skyline = the reference, sharded skyline, parallel
-// skyline, layered index build + subset query, group centrality).
+// family (serial skyline = the reference, sharded skyline at S = 8 and
+// at the default 4 × workers shards, layered index build + subset
+// query, group centrality).
 // Small enough for a CI job (seconds), large enough that each row's
 // cost is dominated by its engine's hot loop rather than setup noise.
 // scripts/bench_compare.go diffs these rows — ratio-normalized against
@@ -75,8 +76,8 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 		{"ShardedFilterRefineSky-s8", "powerlaw-20k", g.N(), g.M(), func() {
 			core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Shards: 8, Workers: 4})
 		}},
-		{"ParallelFilterRefineSky-4", "powerlaw-20k", g.N(), g.M(), func() {
-			core.ParallelFilterRefineSky(g, core.Options{}, 4)
+		{"ShardedFilterRefineSky-w4", "powerlaw-20k", g.N(), g.M(), func() {
+			core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: 4})
 		}},
 		{"SkyTreeBuild", "powerlaw-20k", g.N(), g.M(), func() {
 			skytree.Build(g, skytree.BuildOptions{Workers: 4})

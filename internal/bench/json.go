@@ -79,8 +79,8 @@ var jsonAlgos = []struct {
 	{"FilterRefineSky-nohub", func(ctx context.Context, g *graph.Graph) *core.Result {
 		return core.FilterRefineSkyCtx(ctx, g, core.Options{DisableHubIndex: true})
 	}},
-	{"ParallelFilterRefineSky-8", func(ctx context.Context, g *graph.Graph) *core.Result {
-		return core.ParallelFilterRefineSkyCtx(ctx, g, core.Options{}, 8)
+	{"ShardedFilterRefineSky-w8", func(ctx context.Context, g *graph.Graph) *core.Result {
+		return core.ShardedFilterRefineSkyCtx(ctx, g, core.Options{}, core.ShardOptions{Workers: 8})
 	}},
 }
 

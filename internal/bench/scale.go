@@ -73,7 +73,7 @@ func (c *ScaleConfig) printf(format string, args ...any) {
 //
 //	Convert / Convert-relabel   — streaming conversion wall time (ConvertNs)
 //	FilterRefineSky             — mmap, relabel off | on; heap, relabel off
-//	ParallelFilterRefineSky-W   — mmap, relabel on
+//	ShardedFilterRefineSky-wW   — mmap, relabel on
 //
 // The heap and mmap relabel-off skylines are verified identical, and
 // the relabel-on skyline is verified to have the same size (its ids
@@ -172,13 +172,13 @@ func snapshotRow(cfg ScaleConfig, dataset, path, source, relabel string, workers
 	}
 	run := func() *core.Result {
 		if workers > 1 {
-			return core.ParallelFilterRefineSky(g, core.Options{}, workers)
+			return core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: workers})
 		}
 		return core.FilterRefineSky(g, core.Options{})
 	}
 	algo := "FilterRefineSky"
 	if workers > 1 {
-		algo = fmt.Sprintf("ParallelFilterRefineSky-%d", workers)
+		algo = fmt.Sprintf("ShardedFilterRefineSky-w%d", workers)
 	}
 	cfg.printf("scale: %s source=%s relabel=%s...\n", algo, source, relabel)
 	res := run() // warm-up; also builds the lazy hub index once

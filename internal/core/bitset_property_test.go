@@ -13,7 +13,7 @@ import (
 // must produce the same skyline as (a) the brute-force oracle, which
 // deliberately never touches the hub index, and (b) its own legacy
 // merge-path run under DisableHubIndex — across option combinations and
-// parallel worker counts.
+// sharded-engine worker counts.
 
 func propertyGraphs() []struct {
 	name string
@@ -46,6 +46,15 @@ func propertyGraphs() []struct {
 	return out
 }
 
+// shardedWith runs the sharded engine on w workers with the small-graph
+// cutoff off, so the property graphs reach the worker pool.
+func shardedWith(w int) func(*graph.Graph, Options) *Result {
+	return func(g *graph.Graph, o Options) *Result {
+		o.NoParallelCutoff = true
+		return ShardedFilterRefineSky(g, o, ShardOptions{Workers: w})
+	}
+}
+
 func TestBitsetKernelsMatchOracle(t *testing.T) {
 	type algo struct {
 		name string
@@ -55,15 +64,9 @@ func TestBitsetKernelsMatchOracle(t *testing.T) {
 		{"FilterRefineSky", FilterRefineSky},
 		{"Base2Hop", Base2Hop},
 		{"BaseCSet", BaseCSet},
-		{"Parallel1", func(g *graph.Graph, o Options) *Result { return ParallelFilterRefineSky(g, o, 1) }},
-		{"Parallel2", func(g *graph.Graph, o Options) *Result {
-			o.NoParallelCutoff = true
-			return ParallelFilterRefineSky(g, o, 2)
-		}},
-		{"Parallel8", func(g *graph.Graph, o Options) *Result {
-			o.NoParallelCutoff = true
-			return ParallelFilterRefineSky(g, o, 8)
-		}},
+		{"Sharded1", shardedWith(1)},
+		{"Sharded2", shardedWith(2)},
+		{"Sharded8", shardedWith(8)},
 	}
 	optsCombos := []Options{
 		{},

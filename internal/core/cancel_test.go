@@ -61,53 +61,34 @@ func TestFilterRefineSkyCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestParallelFilterPhaseCancelMidRun cancels the sharded filter phase
-// mid-flight under the race detector's eye and asserts: no goroutine
-// leaks, and the surviving candidate set is still a sound superset of
-// the true skyline.
-func TestParallelFilterPhaseCancelMidRun(t *testing.T) {
-	defer testleak.Check(t)()
-	g := gen.PowerLaw(3000, 12000, 2.3, 12)
-	truth := FilterRefineSky(g, Options{})
-
-	defer cancelAtSeq(2)()
-	res := ParallelFilterPhaseCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
-	if !res.Truncated {
-		t.Fatal("expected Truncated after injected cancellation")
-	}
-	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
-}
-
-// TestParallelFilterRefineSkyCancelMidRun drives the full parallel
-// pipeline with a mid-run cancel: no leaks, sound partial skyline.
-func TestParallelFilterRefineSkyCancelMidRun(t *testing.T) {
+// TestShardedCancelMidRun cancels the sharded engine mid-flight under
+// the race detector's eye and asserts: the run is truncated with the
+// injected cause, no goroutine leaks, and both the surviving candidate
+// set and the partial skyline are sound supersets of the true skyline.
+func TestShardedCancelMidRun(t *testing.T) {
 	defer testleak.Check(t)()
 	g := gen.PowerLaw(3000, 12000, 2.3, 13)
 	truth := FilterRefineSky(g, Options{})
 
 	defer cancelAtSeq(5)()
-	res := ParallelFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
+	res := ShardedFilterRefineSkyCtx(context.Background(), g,
+		Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 	if !res.Truncated {
 		t.Fatal("expected Truncated after injected cancellation")
 	}
+	if !errors.Is(res.Err, faultinject.ErrInjected) {
+		t.Fatalf("Err = %v, want ErrInjected", res.Err)
+	}
+	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
 	assertSuperset(t, res.Skyline, truth.Skyline, "skyline")
 }
 
-// TestParallelFilterPhasePanicIsolated injects a worker panic into the
-// sharded filter phase: the process must survive, the panic must
-// surface once as Result.Err wrapping *PanicError, siblings must drain,
-// and no goroutine may leak.
-func TestParallelFilterPhasePanicIsolated(t *testing.T) {
-	defer testleak.Check(t)()
-	g := gen.PowerLaw(3000, 12000, 2.3, 14)
-
-	defer faultinject.Set(func(seq int64) faultinject.Action {
-		if seq == 2 {
-			return faultinject.ActionPanic
-		}
-		return faultinject.ActionNone
-	})()
-	res := ParallelFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
+// assertPanicTruncated checks the worker-panic contract of a sharded
+// run: the process survived, the panic surfaced once as Result.Err
+// wrapping the injected *PanicError, and the truncated skyline is
+// still a sound superset of the truth.
+func assertPanicTruncated(t *testing.T, res *Result, truth []int32) {
+	t.Helper()
 	if !res.Truncated {
 		t.Fatal("a worker panic must truncate the result")
 	}
@@ -118,26 +99,44 @@ func TestParallelFilterPhasePanicIsolated(t *testing.T) {
 	if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
 		t.Fatalf("panic value = %v, want the injected panic", pe.Value)
 	}
+	assertSuperset(t, res.Skyline, truth, "skyline")
 }
 
-// TestParallelFilterPhasePanicPlainAPI pins the satellite fix for the
-// old process-kill bug: the non-context ParallelFilterPhase entry point
-// also recovers worker panics into an error instead of crashing.
-func TestParallelFilterPhasePanicPlainAPI(t *testing.T) {
-	defer testleak.Check(t)()
-	g := gen.PowerLaw(2000, 8000, 2.3, 15)
-
-	defer faultinject.Set(func(seq int64) faultinject.Action {
-		if seq == 1 {
+// panicAtSeq installs a fault hook that panics the worker polling
+// checkpoint k; the returned restore must be deferred.
+func panicAtSeq(k int64) func() {
+	return faultinject.Set(func(seq int64) faultinject.Action {
+		if seq == k {
 			return faultinject.ActionPanic
 		}
 		return faultinject.ActionNone
-	})()
-	_, _, _, err := ParallelFilterPhase(g, Options{NoParallelCutoff: true}, 4)
-	var pe *runctl.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *runctl.PanicError", err)
-	}
+	})
+}
+
+// TestShardedPanicIsolated injects a worker panic into the sharded
+// engine under a context: siblings must drain and no goroutine may
+// leak.
+func TestShardedPanicIsolated(t *testing.T) {
+	defer testleak.Check(t)()
+	g := gen.PowerLaw(3000, 12000, 2.3, 14)
+	truth := FilterRefineSky(g, Options{})
+
+	defer panicAtSeq(2)()
+	res := ShardedFilterRefineSkyCtx(context.Background(), g,
+		Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
+	assertPanicTruncated(t, res, truth.Skyline)
+}
+
+// TestShardedPanicPlainAPI pins that the non-context entry point also
+// recovers worker panics into Result.Err instead of crashing.
+func TestShardedPanicPlainAPI(t *testing.T) {
+	defer testleak.Check(t)()
+	g := gen.PowerLaw(2000, 8000, 2.3, 15)
+	truth := FilterRefineSky(g, Options{})
+
+	defer panicAtSeq(1)()
+	res := ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
+	assertPanicTruncated(t, res, truth.Skyline)
 }
 
 // TestBudgetTruncatesSkyline bounds a skyline run by a work budget and
@@ -170,8 +169,9 @@ func TestCtxVariantsMatchPlainOnLiveContext(t *testing.T) {
 		{"BaseSkyCtx", func() *Result { return BaseSkyCtx(context.Background(), g, Options{}) }},
 		{"Base2HopCtx", func() *Result { return Base2HopCtx(context.Background(), g, Options{}) }},
 		{"BaseCSetCtx", func() *Result { return BaseCSetCtx(context.Background(), g, Options{}) }},
-		{"ParallelFilterRefineSkyCtx", func() *Result {
-			return ParallelFilterRefineSkyCtx(context.Background(), g, Options{}, 4)
+		{"ShardedFilterRefineSkyCtx", func() *Result {
+			return ShardedFilterRefineSkyCtx(context.Background(), g,
+				Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 		}},
 	} {
 		got := tc.run()

@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzSkylineOracle decodes arbitrary bytes into a small graph and
-// checks that every algorithm agrees with the brute-force oracle.
+// checks that every algorithm agrees with the brute-force oracle. The
+// sharded engine runs with the small-graph cutoff off, so its worker
+// pool sees every fuzzed graph instead of the serial fallback.
 func FuzzSkylineOracle(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 1, 2})
 	f.Add([]byte{8, 0, 1, 0, 2, 0, 3, 1, 2, 4, 5})
@@ -30,7 +32,8 @@ func FuzzSkylineOracle(f *testing.F) {
 			FilterRefineSky(g, Options{FullTwoHopScan: true}),
 			Base2Hop(g, Options{}),
 			BaseCSet(g, Options{}),
-			ParallelFilterRefineSky(g, Options{}, 2),
+			ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Shards: 1, Workers: 2}),
+			ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Shards: 3, Workers: 2}),
 		} {
 			if !EqualSkylines(res.Skyline, oracle.Skyline) {
 				t.Fatalf("skyline mismatch on fuzzed graph %v: %v vs %v",

@@ -65,15 +65,18 @@ func TestFilterRefinePublishesObs(t *testing.T) {
 		t.Fatalf("bloom probes = %d, want %d", got, res.Stats.BloomProbes)
 	}
 
-	// Parallel path publishes under the same names.
+	// The sharded engine publishes its fused pass under core.shard.
 	r.Reset()
-	par := ParallelFilterRefineSky(g, Options{NoParallelCutoff: true}, 4)
+	sh := ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 	snap = r.Snapshot()
-	if snap.Timers["core.filter"].Count != 1 || snap.Timers["core.refine"].Count != 1 {
-		t.Fatalf("parallel run timers = %v", snap.Timers)
+	if snap.Timers["core.shard"].Count != 1 {
+		t.Fatalf("sharded run timers = %v", snap.Timers)
 	}
-	if got := snap.Counters["core.refine.pairs_examined"]; got != int64(par.Stats.PairsExamined) {
-		t.Fatalf("parallel pairs_examined = %d, want %d", got, par.Stats.PairsExamined)
+	if got := snap.Counters["core.shard.pairs_examined"]; got != int64(sh.Stats.PairsExamined) {
+		t.Fatalf("sharded pairs_examined = %d, want %d", got, sh.Stats.PairsExamined)
+	}
+	if got := snap.Counters["core.shard.candidates"]; got != int64(len(sh.Candidates)) {
+		t.Fatalf("sharded candidates = %d, want %d", got, len(sh.Candidates))
 	}
 
 	// Disabled: the same run must leave a fresh recorder untouched.

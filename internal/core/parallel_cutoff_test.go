@@ -29,29 +29,21 @@ func TestParallelCutoffFallsBackToSerial(t *testing.T) {
 	}
 
 	// The fallback must be invisible in results: same skyline, same
-	// candidate count, no error, for both entry points.
+	// candidates, no error.
 	seq := FilterRefineSky(small, Options{})
-	par := ParallelFilterRefineSky(small, Options{}, 8)
+	par := ShardedFilterRefineSky(small, Options{}, ShardOptions{Workers: 8})
 	if par.Err != nil || par.Truncated {
 		t.Fatalf("fallback run failed: %v", par.Err)
 	}
-	if !EqualSkylines(par.Skyline, seq.Skyline) {
-		t.Fatalf("fallback skyline differs from serial")
-	}
-	cand, _, _, err := ParallelFilterPhase(small, Options{}, 8)
-	if err != nil {
-		t.Fatalf("fallback filter phase: %v", err)
-	}
-	seqCand, _, _ := FilterPhase(small, Options{})
-	if len(cand) != len(seqCand) {
-		t.Fatalf("fallback candidates %d != serial %d", len(cand), len(seqCand))
+	if !EqualSkylines(par.Skyline, seq.Skyline) || !EqualSkylines(par.Candidates, seq.Candidates) {
+		t.Fatalf("fallback result differs from serial")
 	}
 }
 
 // BenchmarkParallelCutoff measures the tradeoff the cutoff encodes, on
 // a youtube-sim-sized graph (below the cutoff):
 //
-//	Auto    — ParallelFilterRefineSky with the cutoff active (serial fallback)
+//	Auto    — ShardedFilterRefineSky with the cutoff active (serial fallback)
 //	Forced  — the sharded path via the NoParallelCutoff ablation
 //	Serial  — the serial engine called directly, the floor Auto should hit
 //
@@ -66,12 +58,12 @@ func BenchmarkParallelCutoff(b *testing.B) {
 	g.Hub() // amortize the lazy index like the JSON benchmark does
 	b.Run("Auto", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ParallelFilterRefineSky(g, Options{}, 8)
+			ShardedFilterRefineSky(g, Options{}, ShardOptions{Workers: 8})
 		}
 	})
 	b.Run("Forced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ParallelFilterRefineSky(g, Options{NoParallelCutoff: true}, 8)
+			ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 8})
 		}
 	})
 	b.Run("Serial", func(b *testing.B) {

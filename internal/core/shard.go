@@ -14,8 +14,9 @@ import (
 // Sharded filter/refine engine.
 //
 // ShardedFilterRefineSky recomputes Algorithm 3 over S contiguous,
-// work-balanced vertex shards (graph.PartitionShards). Three structural
-// differences from ParallelFilterRefineSky:
+// work-balanced vertex shards (graph.PartitionShards). It is the one
+// parallel skyline engine; three structural differences from the
+// serial FilterRefineSky:
 //
 //  1. The phases are FUSED and refine-first: each shard makes a single
 //     pass over its vertices, running the min-degree-pivot dominator
@@ -50,11 +51,12 @@ import (
 // range, see point 1), so candidate and skyline membership stay
 // deterministic. Cross-shard reads (the liveness skip o[w] == w) use
 // atomic loads; a stale read is pessimistic only, and skipping a
-// freshly-dominated w is sound because domination chains end at skyline
-// vertices whose o entry never changes and whose chain top stays within
-// the 2-hop pivot range (the ParallelFilterRefineSky proof, which does
-// not depend on any filter phase having completed elsewhere). With
-// Workers == 1 the engine is fully deterministic for any shard count.
+// freshly-dominated w is sound because o[w] transitions exactly once,
+// from w to a dominator, domination chains end at skyline vertices
+// whose o entry never changes, and the chain top dominates u too, so it
+// lies in the same pivot range (point 1) — none of which depends on any
+// filter phase having completed elsewhere. With Workers == 1 the engine
+// is fully deterministic for any shard count.
 //
 // Anytime contract: a truncated run leaves o[u] == u for every
 // unscanned vertex, so Skyline = collect(o) remains a sound superset of
@@ -102,8 +104,28 @@ func (so ShardOptions) fill() ShardOptions {
 	return so
 }
 
+// parallelCutoff is the CSR work size (n + 2m array entries) below
+// which the sharded engine runs the serial engine instead. On graphs
+// this small the whole scan costs a few hundred microseconds — the same
+// order as spawning the worker group and bouncing the shared shard
+// cursor between cores — so sharding buys nothing. 2^16 entries
+// ≈ 256 KiB of CSR keeps every Table-I small sim serial while
+// livejournal/orkut-scale graphs still shard. BenchmarkParallelCutoff
+// pins the tradeoff; Options.NoParallelCutoff is the ablation escape
+// hatch.
+const parallelCutoff = 1 << 16
+
+// underParallelCutoff reports whether g is too small for the sharded
+// path to pay for itself.
+func underParallelCutoff(g *graph.Graph, opts Options) bool {
+	return !opts.NoParallelCutoff && g.N()+2*g.M() < parallelCutoff
+}
+
 // ShardedFilterRefineSky computes the neighborhood skyline with the
-// sharded fused engine described above.
+// sharded fused engine described above. Workers run panic-isolated
+// through both entry points: a recovered worker panic surfaces in
+// Result.Err (a *runctl.PanicError) with Truncated set, and the partial
+// skyline stays a sound superset.
 func ShardedFilterRefineSky(g *graph.Graph, opts Options, so ShardOptions) *Result {
 	return shardedSkyRun(nil, g, opts, so)
 }
@@ -174,7 +196,8 @@ func shardedSkyRun(run *runctl.Run, g *graph.Graph, opts Options, so ShardOption
 	r.Add("core.shard.shards", int64(len(shards)))
 
 	// A live run even for background callers, so a worker panic cancels
-	// siblings promptly (same rationale as parallelFilterPhaseRun).
+	// its siblings and they drain at their next checkpoint instead of
+	// running to completion.
 	run = runctl.Ensure(run)
 
 	load := func(v int32) int32 { return atomic.LoadInt32(&o[v]) }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"io"
+	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -215,5 +217,54 @@ func TestStatsReportsInFlight(t *testing.T) {
 	}
 	if got, ok := body["in_flight"].(float64); !ok || got != 2 {
 		t.Fatalf("stats in_flight = %v, want 2", body["in_flight"])
+	}
+}
+
+// TestSlowHeaderClientDisconnected pins the connection limits that keep
+// slow clients from bypassing admission: a raw TCP client that sends
+// half a request line and stalls is disconnected once the header
+// timeout passes, without ever reaching a handler.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	srv := New(&Snapshot{Graph: testGraph(), Name: "t"}, Options{MaxInFlight: 1})
+	defer srv.Close()
+	const headerTimeout = 200 * time.Millisecond
+	hs := newHTTPServer(srv.Handler(), headerTimeout)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/skyline HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes the connection (possibly after a 408 status
+	// line); a read deadline far past the header timeout catches a
+	// server that keeps waiting instead.
+	conn.SetReadDeadline(time.Now().Add(20 * headerTimeout))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < headerTimeout {
+		t.Fatalf("closed after %v, before the %v header timeout", waited, headerTimeout)
+	}
+	if got := srv.InFlight(); got != 0 {
+		t.Fatalf("stalled client holds %d admission slots", got)
+	}
+
+	// The production server carries the fixed limits and no write
+	// timeout (queries carry their own deadlines).
+	prod := srv.HTTPServer()
+	if prod.ReadHeaderTimeout != readHeaderTimeout || prod.IdleTimeout != idleTimeout ||
+		prod.MaxHeaderBytes != maxHeaderBytes || prod.WriteTimeout != 0 {
+		t.Fatalf("production limits = header %v idle %v maxHeader %d write %v",
+			prod.ReadHeaderTimeout, prod.IdleTimeout, prod.MaxHeaderBytes, prod.WriteTimeout)
 	}
 }

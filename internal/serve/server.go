@@ -165,6 +165,32 @@ func NewFromStore(store *Store, opts Options) *Server {
 // Handler returns the serving mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection limits of the daemon's HTTP server. Admission control
+// (MaxInFlight) only sees requests whose headers have arrived, so a
+// client that trickles its request line, or parks an idle keep-alive
+// connection, would otherwise hold a connection no gate counts. There
+// is deliberately no write timeout: queries carry their own deadlines.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// HTTPServer returns an http.Server for Handler with the connection
+// limits above; the caller runs Serve and Shutdown.
+func (s *Server) HTTPServer() *http.Server {
+	return newHTTPServer(s.Handler(), readHeaderTimeout)
+}
+
+func newHTTPServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // Store returns the snapshot store (for tests and embedding CLIs).
 func (s *Server) Store() *Store { return s.store }
 
@@ -344,11 +370,12 @@ var skylineAlgos = map[string]func(context.Context, *graph.Graph, core.Options) 
 
 // handleSkyline serves GET
 // /v1/skyline?algo=&timeout=&budget=&limit=&workers=&shards=.
-// ?workers (clamped to Options.MaxWorkers) runs the parallel
-// filter/refine engine; ?shards runs the sharded engine over that many
-// contiguous vertex shards (mmap-backed snapshots get per-shard paging
-// hints). Both only apply to the filterrefine algorithm — ?shards on
-// any other algo is a 400. A truncated run still returns 200: the
+// Either ?workers or ?shards runs the sharded engine: ?workers
+// (clamped to Options.MaxWorkers, default MaxWorkers) sizes the worker
+// pool and ?shards (default 4 × workers) the number of contiguous
+// vertex shards; mmap-backed snapshots get per-shard paging hints.
+// Both only apply to the filterrefine algorithm — either on any other
+// algo is a 400. A truncated run still returns 200: the
 // listed set is a sound superset of the true skyline (the filter/refine
 // contract), flagged with truncated=true and the cause.
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
@@ -399,19 +426,14 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		"base": "BaseSky", "2hop": "Base2Hop", "cset": "BaseCSet"})[algoName]
 	start := time.Now()
 	var res *core.Result
-	switch {
-	case shards > 0:
-		ew := workers
-		if ew == 0 {
-			ew = s.opts.MaxWorkers
+	if shards > 0 || workers > 0 {
+		if workers == 0 {
+			workers = s.opts.MaxWorkers
 		}
 		res = core.ShardedFilterRefineSkyCtx(ctx, g, core.Options{},
-			core.ShardOptions{Shards: shards, Workers: ew, Advise: adviseOf(pin)})
-		name, workers = "ShardedFilterRefineSky", ew
-	case workers > 0:
-		res = core.ParallelFilterRefineSkyCtx(ctx, g, core.Options{}, workers)
-		name = "ParallelFilterRefineSky"
-	default:
+			core.ShardOptions{Shards: shards, Workers: workers, Advise: adviseOf(pin)})
+		name = "ShardedFilterRefineSky"
+	} else {
 		res = algo(ctx, g, core.Options{})
 	}
 	resp := skylineResponse{

@@ -44,6 +44,9 @@ func TestSkylineShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSkylineWorkersSelectsParallelEngine pins that ?workers alone
+// runs the sharded engine — the one parallel engine — with the worker
+// count echoed and the serial engine's answer.
 func TestSkylineWorkersSelectsParallelEngine(t *testing.T) {
 	g := gen.PowerLaw(8000, 30000, 2.5, 13)
 	_, ts := newTestServer(t, g, Options{MaxWorkers: 8})
@@ -53,8 +56,11 @@ func TestSkylineWorkersSelectsParallelEngine(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, body)
 	}
-	if body["algo"] != "ParallelFilterRefineSky" {
-		t.Fatalf("algo %v, want ParallelFilterRefineSky", body["algo"])
+	if body["algo"] != "ShardedFilterRefineSky" {
+		t.Fatalf("algo %v, want ShardedFilterRefineSky", body["algo"])
+	}
+	if int(body["workers"].(float64)) != 4 {
+		t.Fatalf("workers %v, want 4", body["workers"])
 	}
 	if got := ids(body["skyline"]); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("skyline %v, want %v", got, want)

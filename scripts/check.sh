@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo gate: gofmt, vet, build, full tests, race-test the hot packages,
-# then smoke the Fig 3 benchmarks (including the large hub-bitmap
-# variants) once. CI runs this via `make ci`.
+# Repo gate: gofmt, vet, build, full tests, vet + test of the servebench
+# module, race-test the hot packages, then smoke the Fig 3 benchmarks
+# (including the large hub-bitmap variants) once. CI runs this via
+# `make ci`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,11 @@ go build ./...
 
 echo "== go test (full) =="
 go test ./...
+
+# servebench is a module of its own, so the root ./... never builds it,
+# yet it imports internal packages an API change can break.
+echo "== servebench module (vet + test) =="
+(cd servebench && go vet ./... && go test ./...)
 
 echo "== go test -race (hot packages + cancellation/fault-injection + epoch swaps) =="
 go test -race ./internal/core/... ./internal/graph/... ./internal/bitset/... \
