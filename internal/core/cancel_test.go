@@ -61,11 +61,34 @@ func TestFilterRefineSkyCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestShardedCancelMidRun cancels the sharded engine mid-flight under
-// the race detector's eye and asserts: the run is truncated with the
-// injected cause, no goroutine leaks, and both the surviving candidate
-// set and the partial skyline are sound supersets of the true skyline.
-func TestShardedCancelMidRun(t *testing.T) {
+// TestParallelFilterPhaseCancelMidRun cancels the sharded engine at an
+// early checkpoint under the race detector's eye and asserts: the run
+// is truncated with the injected cause, no goroutine leaks, and the
+// surviving candidate set is still a sound superset of the true
+// skyline. The name is kept from the phase-split engine it first
+// covered.
+func TestParallelFilterPhaseCancelMidRun(t *testing.T) {
+	defer testleak.Check(t)()
+	g := gen.PowerLaw(3000, 12000, 2.3, 12)
+	truth := FilterRefineSky(g, Options{})
+
+	defer cancelAtSeq(2)()
+	res := ShardedFilterRefineSkyCtx(context.Background(), g,
+		Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
+	if !res.Truncated {
+		t.Fatal("expected Truncated after injected cancellation")
+	}
+	if !errors.Is(res.Err, faultinject.ErrInjected) {
+		t.Fatalf("Err = %v, want ErrInjected", res.Err)
+	}
+	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
+}
+
+// TestParallelFilterRefineSkyCancelMidRun drives the sharded engine to
+// a later checkpoint before cancelling: truncated with the injected
+// cause, no leaks, sound partial skyline. The name is kept from the
+// phase-split engine it first covered.
+func TestParallelFilterRefineSkyCancelMidRun(t *testing.T) {
 	defer testleak.Check(t)()
 	g := gen.PowerLaw(3000, 12000, 2.3, 13)
 	truth := FilterRefineSky(g, Options{})
@@ -79,7 +102,6 @@ func TestShardedCancelMidRun(t *testing.T) {
 	if !errors.Is(res.Err, faultinject.ErrInjected) {
 		t.Fatalf("Err = %v, want ErrInjected", res.Err)
 	}
-	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
 	assertSuperset(t, res.Skyline, truth.Skyline, "skyline")
 }
 
